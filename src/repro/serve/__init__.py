@@ -32,12 +32,14 @@ from repro.serve.runtime import (
     run_chaos,
 )
 from repro.serve.session import ServeConfig, ServeSession
+from repro.serve.validation import InvalidRequest
 
 __all__ = [
     "Batcher",
     "ChaosReport",
     "FaultSpec",
     "InferenceEngine",
+    "InvalidRequest",
     "LRUCache",
     "PendingRequest",
     "QoSStats",

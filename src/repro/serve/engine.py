@@ -54,6 +54,7 @@ from repro.nn.tensor import no_grad
 from repro.quant.embedding import QuantizedEmbedding, quantize_embedding
 from repro.quant.kernels import decode_rows
 from repro.serve.cache import LRUCache, QuantizedRowCache
+from repro.serve.validation import out_of_range_rows, range_message, require_integer_ids
 
 __all__ = ["InferenceEngine"]
 
@@ -445,11 +446,9 @@ class InferenceEngine:
                 "decomposable; serve it single-process"
             )
         flat = np.asarray(flat_ids).ravel()
-        if flat.size and (flat.min() < 0 or flat.max() >= self.vocab_size):
-            raise IndexError(
-                f"id out of range [0, {self.vocab_size}): "
-                f"[{flat.min()}, {flat.max()}]"
-            )
+        require_integer_ids(flat)
+        if out_of_range_rows(flat[None], self.vocab_size).size:
+            raise IndexError(range_message(flat, self.vocab_size))
         return np.ascontiguousarray(self._embed_rows(flat), dtype=np.float32)
 
     def apply_tower(self, h: np.ndarray) -> np.ndarray:
@@ -462,7 +461,14 @@ class InferenceEngine:
 
     def validate_ids(self, ids: np.ndarray) -> np.ndarray:
         """Normalize a request batch to ``(B, input_length)`` or raise —
-        the shape/range contract shared by ``predict`` and the runtime."""
+        the shape/dtype/range contract shared by ``predict`` and the runtime.
+
+        A wrong shape raises ``ValueError``, a non-integer dtype
+        :class:`~repro.serve.validation.InvalidRequest`, and an id outside
+        the vocabulary ``IndexError`` for the whole batch.  The batcher
+        range-checks its rows with the same function before calling
+        ``predict``, so a queued bad request is rejected alone instead.
+        """
         ids = np.asarray(ids)
         if ids.ndim == 1:
             ids = ids[None, :]
@@ -470,11 +476,9 @@ class InferenceEngine:
             raise ValueError(
                 f"expected (batch, {self.input_length}) ids, got shape {ids.shape}"
             )
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
-            raise IndexError(
-                f"id out of range [0, {self.vocab_size}): "
-                f"[{ids.min()}, {ids.max()}]"
-            )
+        require_integer_ids(ids)
+        if out_of_range_rows(ids, self.vocab_size).size:
+            raise IndexError(range_message(ids, self.vocab_size))
         return ids
 
     # -- serving ---------------------------------------------------------------

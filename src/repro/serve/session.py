@@ -355,11 +355,12 @@ class ServeSession:
         return self.batcher.submit(ids)
 
     def flush(self) -> list[np.ndarray]:
-        """Serve everything pending; returns per-request score rows."""
+        """Serve everything pending; returns the served requests' score rows
+        (rejected requests carry their error instead, see Batcher.flush)."""
         return self.batcher.flush()
 
     def serve(self, requests) -> list[np.ndarray]:
-        """Submit an iterable of requests and flush once."""
+        """Submit an iterable of requests and flush once (see Batcher.serve)."""
         return self.batcher.serve(requests)
 
     # -- introspection ----------------------------------------------------------
@@ -383,6 +384,7 @@ class ServeSession:
             "table_resident_bytes": engine.table_resident_bytes(),
             "pending_requests": len(self.batcher),
             "auto_flushes": self.batcher.auto_flushes,
+            "rejected_requests": self.batcher.rejected,
             "hot_swaps": self.swaps,
         }
         if self.runtime is not None:

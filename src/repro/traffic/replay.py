@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.serve.validation import InvalidRequest
 from repro.traffic.model import TrafficModel
 from repro.traffic.slo import SLOSpec
 
@@ -195,13 +196,18 @@ class _PhaseAccumulator:
 
 def _settle(deferred: list, total: _PhaseAccumulator) -> None:
     """Fold resolved requests into checksums and latency books, in stream
-    order.  Every request must have a result by now — a ``None`` means the
+    order.  Every request must have a result by now: a rejected request
+    raises its typed error, naming the step; any other ``None`` means the
     serving plane dropped it, which a replay treats as a hard failure."""
     while deferred:
-        acc, hashers, requests_blob, pending = deferred.pop(0)
+        step_index, acc, hashers, requests_blob, pending = deferred.pop(0)
         for h in hashers:
             h.update(requests_blob)
-        for req in pending:
+        for j, req in enumerate(pending):
+            if req.error is not None:
+                raise InvalidRequest(
+                    f"replay step {step_index}, request {j} was rejected: {req.error}"
+                ) from req.error
             if req.result is None:
                 raise RuntimeError(
                     "replay dropped a request: unresolved after flush"
@@ -279,9 +285,10 @@ def replay(
             hashers.append(split[0] if step_index < swap_step else split[1])
         # Hashing is deferred with the results so both flush modes produce
         # the identical (requests, results) interleaving per step.
-        deferred.append(
-            (acc, hashers, np.ascontiguousarray(step.requests).tobytes(), pending)
-        )
+        deferred.append((
+            step_index, acc, hashers,
+            np.ascontiguousarray(step.requests).tobytes(), pending,
+        ))
         for a in (acc, total):
             a.batches += 1
             a.elapsed_s += elapsed

@@ -15,6 +15,7 @@ from repro.nn.tensor import no_grad
 from repro.serve.batcher import Batcher
 from repro.serve.cache import LRUCache
 from repro.serve.engine import InferenceEngine
+from repro.serve.validation import InvalidRequest
 
 V, L, E, C = 300, 6, 16, 10
 
@@ -69,17 +70,25 @@ class TestBatcherCoalescing:
         with pytest.raises(ValueError):
             Batcher(engine, max_batch=0)
 
-    def test_rejects_out_of_range_ids_at_submit(self):
-        """One bad request must never poison a coalesced flush."""
+    def test_rejects_out_of_range_ids_at_flush(self):
+        """One bad request must never poison a coalesced flush: the flush
+        rejects it alone, with a typed error, and serves the rest."""
         engine, _ = _engine()
         batcher = Batcher(engine)
-        batcher.submit(np.zeros(L, dtype=np.int64))
-        with pytest.raises(ValueError):
-            batcher.submit(np.full(L, V, dtype=np.int64))
-        with pytest.raises(ValueError):
-            batcher.submit(np.full(L, -1, dtype=np.int64))
-        assert len(batcher) == 1  # the valid request is still queued
-        assert len(batcher.flush()) == 1
+        good = batcher.submit(np.zeros(L, dtype=np.int64))
+        too_big = batcher.submit(np.full(L, V, dtype=np.int64))
+        negative = batcher.submit(np.full(L, -1, dtype=np.int64))
+        results = batcher.flush()
+        assert len(batcher) == 0
+        assert len(results) == 1 and good.error is None
+        np.testing.assert_array_equal(
+            good.result, engine.predict_one(np.zeros(L, dtype=np.int64))
+        )
+        for bad in (too_big, negative):
+            assert bad.done and bad.result is None
+            assert isinstance(bad.error, InvalidRequest)
+            assert "out of range" in str(bad.error)
+        assert batcher.rejected == 2
 
     def test_flush_failure_keeps_served_results_and_requeues_rest(self):
         engine, _ = _engine()
