@@ -1,17 +1,19 @@
 """Quantized serving: memory / throughput / accuracy trade-off.
 
-Serves pointwise models through the :class:`repro.serve.InferenceEngine`
+Serves pointwise models through the :class:`repro.serve.ServeSession`
 quantized plan (``bits=8|4``: :mod:`repro.quant` integer-storage tables,
 fused gather→dequant, LRU cache of *codes*) under the paper's Zipf(1.1)
-request skew, against the FP32 engine on the same traffic:
+request skew — a stationary :class:`repro.traffic.TrafficSpec` replayed by
+:func:`repro.traffic.replay`, phase 0 warm-up, phase 1 measured — against
+the FP32 engine on the same traffic:
 
 * **memory** — engine table-resident bytes (codes + scales vs FP32
   snapshots).  Gate: int8 ≤ 0.30× FP32 (0.35 in ``--smoke``, which runs at
   a reduced scale where fixed overheads weigh more), and int4 < int8.
 * **cache capacity** — at an equal byte budget the cache of codes must
   hold ≥ 3.5× the FP32 cache's rows at int8 (≈3.8× at e=64; ≈7× at int4).
-* **accuracy** — max |Δlogit| of quantized vs FP32 predictions on a fixed
-  eval slice of the traffic.  Gates are the documented tolerances of
+* **accuracy** — max |Δlogit| of quantized vs FP32 predictions on the
+  traffic's first steps.  Gates are the documented tolerances of
   DESIGN.md §7 (int8 ≤ 5e−3, int4 ≤ 1e−1 for these untrained-scale
   models); bit-exactness against the *dequantized reference* — the
   stronger, tolerance-free claim — is pinned in
@@ -38,14 +40,15 @@ import argparse
 import os
 import sys
 import tempfile
+from itertools import islice
 
 import numpy as np
 
 from repro.artifact import save_artifact
 from repro.models.builder import build_pointwise_ranker
-from repro.serve.bench import measure_throughput, zipf_requests
 from repro.serve.cache import rows_for_budget
-from repro.serve.engine import InferenceEngine
+from repro.serve.session import ServeConfig, ServeSession
+from repro.traffic import TrafficModel, TrafficSpec, replay
 
 EMBEDDING_DIM = 64
 INPUT_LENGTH = 32
@@ -54,7 +57,7 @@ BATCH = 128
 ZIPF_ALPHA = 1.1
 HASH_FRACTION = 16
 CACHE_BUDGET_BYTES = 1 << 21  # 2 MiB row-store budget, FP32 and quantized alike
-EVAL_REQUESTS = 256  # fixed slice scored by every engine for the accuracy axis
+EVAL_STEPS = 2  # first stream steps (≈2 batches) scored by every engine for accuracy
 
 INT8_MEM_CEIL = 0.30  # acceptance: int8 table-resident ≤ 0.30× FP32
 INT8_MEM_CEIL_SMOKE = 0.35  # CI smoke runs a smaller model; fixed costs weigh more
@@ -104,50 +107,46 @@ def _sweep(scale: float = 1.0, num_batches: int = 64) -> list[dict]:
     Each row also carries its technique's ``artifact_bytes`` map (FP32 /
     int8 / int4 container sizes) so downstream JSON keeps size next to
     speed."""
-    requests = zipf_requests(
-        _vocab(scale), INPUT_LENGTH, num_batches * BATCH, alpha=ZIPF_ALPHA, rng=0
+    traffic = TrafficModel(
+        TrafficSpec.stationary(
+            _vocab(scale), INPUT_LENGTH, num_batches * BATCH, BATCH, alpha=ZIPF_ALPHA
+        )
     )
-    eval_ids = requests[:EVAL_REQUESTS]
-    warm_uncached = max(2, num_batches // 16)
-    warm_cached = num_batches // 2
+    eval_ids = np.concatenate([s.requests for s in islice(traffic.stream(), EVAL_STEPS)])
 
     rows = []
     for technique in ("full", "memcom"):
         vocab = _vocab(scale)
         fp32_cache_rows = rows_for_budget(CACHE_BUDGET_BYTES, EMBEDDING_DIM, 32)
         configs = [
-            ("fp32", dict(), warm_uncached),
-            ("fp32+cache", dict(cache_rows=fp32_cache_rows), warm_cached),
+            ("fp32", dict()),
+            ("fp32+cache", dict(cache_rows=fp32_cache_rows)),
         ]
         for bits in (8, 4):
             q_rows = rows_for_budget(CACHE_BUDGET_BYTES, EMBEDDING_DIM, bits)
             configs += [
-                (f"int{bits}", dict(bits=bits), warm_uncached),
-                (
-                    f"int{bits}+cache",
-                    dict(bits=bits, cache_rows=q_rows),
-                    warm_cached,
-                ),
+                (f"int{bits}", dict(bits=bits)),
+                (f"int{bits}+cache", dict(bits=bits, cache_rows=q_rows)),
             ]
         artifact_bytes = _artifact_sizes(technique, vocab)
         fp32_pred = None
         fp32_bytes = None
-        for label, kwargs, warm in configs:
-            engine = InferenceEngine(_build(technique, vocab), **kwargs)
-            pred = engine.predict(eval_ids).copy()
+        for label, kwargs in configs:
+            session = ServeSession.from_model(
+                _build(technique, vocab), ServeConfig(max_batch=BATCH, **kwargs)
+            )
+            engine = session.engine
+            pred = session.predict(eval_ids).copy()
             if label == "fp32":
                 fp32_pred, fp32_bytes = pred, engine.table_resident_bytes()
-            report = measure_throughput(
-                engine, requests, batch_size=BATCH,
-                label=f"{technique}/{label}", warmup_batches=warm,
-            )
+            warm = replay(session, traffic).phases[1]
             rows.append(
                 {
                     "technique": technique,
                     "config": label,
-                    "requests_per_sec": report.requests_per_sec,
-                    "ms_per_batch": report.mean_batch_latency_ms,
-                    "cache_hit_rate": report.cache_hit_rate,
+                    "requests_per_sec": warm.rps,
+                    "p99_ms": warm.p99_ms,
+                    "cache_hit_rate": warm.hit_rate,
                     "cache_rows": engine.cache.capacity if engine.cache else None,
                     "table_bytes": engine.table_resident_bytes(),
                     "mem_ratio": engine.table_resident_bytes() / fp32_bytes,

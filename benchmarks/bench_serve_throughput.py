@@ -1,8 +1,10 @@
 """Serving throughput: batched engine, LRU hot-row cache, sharded tables.
 
-Freezes pointwise models into :class:`repro.serve.InferenceEngine` plans and
-streams Zipf(1.1) request traffic (the §4 skew) through the batcher,
-measuring requests/sec in four configurations:
+Freezes pointwise models into :class:`repro.serve.ServeSession` plans and
+replays a stationary Zipf(1.1) stream (the §4 skew,
+:meth:`repro.traffic.TrafficSpec.stationary`) through each session's batcher
+with :func:`repro.traffic.replay` — phase 0 warms, phase 1 is measured —
+reporting requests/sec in four configurations:
 
 * **memcom** — monolithic vs hash-sharded, cached vs uncached.  Finding:
   MEmCom's own compose (``U[i mod m] ⊙ V[i] + W[i]``) is so gather-cheap —
@@ -13,8 +15,8 @@ measuring requests/sec in four configurations:
   contracts tensor-train cores (per-id matmuls).  Memoizing composed rows
   absorbs the Zipf head's contractions and multiplies throughput.
 
-Reported per configuration in ``benchmark.extra_info``: requests/sec, batch
-latency, cache hit rate, and the cached/uncached + sharded/monolithic
+Reported per configuration in ``benchmark.extra_info``: requests/sec, p99
+request latency, cache hit rate, and the cached/uncached + sharded/monolithic
 ratios.  The acceptance gates assert the cached tt_rec engine serves ≥2×
 the uncached requests/sec (it lands far above, ≈5–9× on a typical CPU) and
 that the memcom cache stays within noise of neutral (≥0.7×).
@@ -38,14 +40,14 @@ import argparse
 import os
 import sys
 import tempfile
+from itertools import islice
 
 import numpy as np
 
 from repro.artifact import load_artifact, save_artifact
 from repro.models.builder import build_pointwise_ranker, shard_model
-from repro.serve.bench import measure_throughput, zipf_requests
-from repro.serve.engine import InferenceEngine
 from repro.serve.session import ServeConfig, ServeSession
+from repro.traffic import TrafficModel, TrafficSpec, replay
 
 EMBEDDING_DIM = 128
 INPUT_LENGTH = 64
@@ -80,51 +82,52 @@ def _build(technique: str, vocab: int, seed: int = 0):
     )
 
 
-def _measure(engine, requests, label, warmup_batches):
-    return measure_throughput(
-        engine, requests, batch_size=BATCH, label=label, warmup_batches=warmup_batches
+def _traffic(vocab: int, num_batches: int) -> TrafficModel:
+    return TrafficModel(
+        TrafficSpec.stationary(
+            vocab, INPUT_LENGTH, num_batches * BATCH, BATCH, alpha=ZIPF_ALPHA
+        )
     )
+
+
+def _measure(technique: str, label: str, session, traffic: TrafficModel) -> dict:
+    """Replay ``traffic`` through ``session``; one bench row from its warm phase."""
+    warm = replay(session, traffic).phases[1]
+    return {
+        "technique": technique,
+        "config": label,
+        "requests_per_sec": warm.rps,
+        "p99_ms": warm.p99_ms,
+        "cache_hit_rate": warm.hit_rate,
+    }
 
 
 def _sweep(scale: float = 1.0, num_batches: int = 96) -> list[dict]:
     """Measure every engine configuration; returns one dict per row."""
     vocab = _vocab(scale)
     cache_rows = int(CACHE_ROWS * min(1.0, scale) if scale < 1.0 else CACHE_ROWS)
-    requests = zipf_requests(
-        vocab, INPUT_LENGTH, num_batches * BATCH, alpha=ZIPF_ALPHA, rng=0
-    )
-    warm_uncached = max(2, num_batches // 16)
-    warm_cached = num_batches // 2  # the cache must reach steady state
+    traffic = _traffic(vocab, num_batches)
+    base = ServeConfig(max_batch=BATCH)
+    cached = ServeConfig(max_batch=BATCH, cache_rows=cache_rows)
 
     rows = []
     for technique in ("memcom", "tt_rec"):
         configs = [
-            ("uncached", InferenceEngine(_build(technique, vocab)), warm_uncached),
-            (
-                "cached",
-                InferenceEngine(_build(technique, vocab), cache_rows=cache_rows),
-                warm_cached,
-            ),
+            ("uncached", ServeSession.from_model(_build(technique, vocab), base)),
+            ("cached", ServeSession.from_model(_build(technique, vocab), cached)),
         ]
         if technique == "memcom":
             configs.append(
                 (
                     f"sharded x{N_SHARDS}",
-                    InferenceEngine(shard_model(_build(technique, vocab), N_SHARDS)),
-                    warm_uncached,
+                    ServeSession.from_model(
+                        shard_model(_build(technique, vocab), N_SHARDS), base
+                    ),
                 )
             )
-        for label, engine, warm in configs:
-            report = _measure(engine, requests, f"{technique}/{label}", warm)
-            rows.append(
-                {
-                    "technique": technique,
-                    "config": label,
-                    "requests_per_sec": report.requests_per_sec,
-                    "ms_per_batch": report.mean_batch_latency_ms,
-                    "cache_hit_rate": report.cache_hit_rate,
-                }
-            )
+        rows += [
+            _measure(technique, label, session, traffic) for label, session in configs
+        ]
     return rows
 
 
@@ -138,49 +141,38 @@ def _artifact_sweep(scale: float, num_batches: int) -> list[dict]:
     vocab = _vocab(scale)
     cache_rows = int(CACHE_ROWS * min(1.0, scale) if scale < 1.0 else CACHE_ROWS)
     model = _build("tt_rec", vocab)
-    reference = InferenceEngine(model)
-    requests = zipf_requests(
-        vocab, INPUT_LENGTH, num_batches * BATCH, alpha=ZIPF_ALPHA, rng=0
-    )
-    eval_ids = requests[: 2 * BATCH]
+    reference = ServeSession.from_model(model)
+    traffic = _traffic(vocab, num_batches)
+    eval_ids = np.concatenate([s.requests for s in islice(traffic.stream(), 2)])
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tt_rec-artifact")
         save_artifact(model, path)
         # One disk read + hash verification, shared by both sessions.
         artifact = load_artifact(path)
-        loaded = ServeSession.load(artifact)
+        loaded = ServeSession.load(artifact, ServeConfig(max_batch=BATCH))
         assert np.array_equal(loaded.predict(eval_ids), reference.predict(eval_ids)), (
             "artifact-loaded serving plan diverged from the in-memory engine"
         )
-        cached = ServeSession.load(artifact, ServeConfig(cache_rows=cache_rows))
-        for label, session, warm in (
-            ("artifact", loaded, max(2, num_batches // 16)),
-            ("artifact+cache", cached, num_batches // 2),
-        ):
-            report = _measure(session.engine, requests, f"tt_rec/{label}", warm)
-            rows.append(
-                {
-                    "technique": "tt_rec",
-                    "config": label,
-                    "requests_per_sec": report.requests_per_sec,
-                    "ms_per_batch": report.mean_batch_latency_ms,
-                    "cache_hit_rate": report.cache_hit_rate,
-                    "artifact_bytes": artifact.total_bytes(),
-                }
-            )
+        cached = ServeSession.load(
+            artifact, ServeConfig(max_batch=BATCH, cache_rows=cache_rows)
+        )
+        for label, session in (("artifact", loaded), ("artifact+cache", cached)):
+            row = _measure("tt_rec", label, session, traffic)
+            row["artifact_bytes"] = artifact.total_bytes()
+            rows.append(row)
     return rows
 
 
 def _render(rows: list[dict]) -> str:
     lines = [
-        f"{'technique':>9} {'engine':>12} {'req/s':>10} {'ms/batch':>9} {'hit':>6}"
+        f"{'technique':>9} {'engine':>14} {'req/s':>10} {'p99 ms':>8} {'hit':>6}"
     ]
     for r in rows:
         hit = f"{100 * r['cache_hit_rate']:.1f}%" if r["cache_hit_rate"] is not None else "—"
         lines.append(
-            f"{r['technique']:>9} {r['config']:>12} {r['requests_per_sec']:>10,.0f} "
-            f"{r['ms_per_batch']:>9.2f} {hit:>6}"
+            f"{r['technique']:>9} {r['config']:>14} {r['requests_per_sec']:>10,.0f} "
+            f"{r['p99_ms']:>8.2f} {hit:>6}"
         )
     return "\n".join(lines)
 
@@ -217,7 +209,7 @@ def test_serve_throughput(benchmark):
     for r in rows:
         key = f"{r['technique']}_{r['config'].replace(' ', '')}"
         benchmark.extra_info[f"{key}_rps"] = round(r["requests_per_sec"])
-        benchmark.extra_info[f"{key}_ms_per_batch"] = round(r["ms_per_batch"], 3)
+        benchmark.extra_info[f"{key}_p99_ms"] = round(r["p99_ms"], 3)
         if r["cache_hit_rate"] is not None:
             benchmark.extra_info[f"{key}_hit_rate"] = round(r["cache_hit_rate"], 3)
     benchmark.extra_info["ttrec_cached_speedup"] = round(

@@ -1086,8 +1086,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     from repro.artifact.errors import ArtifactError
     from repro.models.builder import shard_model
-    from repro.serve.bench import measure_throughput, zipf_requests
     from repro.serve.session import ServeConfig, ServeSession
+    from repro.traffic import TrafficModel, TrafficSpec, replay
 
     error = _validate_serve_args(args)
     if error is not None:
@@ -1100,18 +1100,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.chaos is not None:
         return _cmd_serve_chaos(args)
 
-    cache_rows = args.cache_rows or None
     base = ServeConfig(
         cache_min_count=args.cache_min_count,
         cache_ttl_batches=args.cache_ttl_batches,
         max_batch=args.batch_size,
     )
-    cached_cfg = dc_replace(base, cache_rows=cache_rows)
-    num_batches = max(1, args.requests // args.batch_size)
-    # Cached engines warm for half the traffic so the timed window measures
-    # the steady-state hit rate, not the cold fill (DESIGN.md §6 protocol).
-    warm_uncached = max(1, num_batches // 16)
-    warm_cached = max(1, num_batches // 2)
+    cached_cfg = dc_replace(base, cache_rows=args.cache_rows or None)
 
     if args.artifact is not None:
         # Serve the exported container itself — the deployment contract.
@@ -1121,20 +1115,18 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         try:
             from repro.artifact import load_artifact
 
-            # One disk read + hash verification, shared by both sessions.
+            # One disk read + hash verification, shared by every session.
             artifact = load_artifact(args.artifact)
             configs = [
                 (
                     "artifact",
                     ServeSession.load(artifact, dc_replace(base, bits=session_bits)),
-                    warm_uncached,
                 ),
                 (
                     "artifact+cache",
                     ServeSession.load(
                         artifact, dc_replace(cached_cfg, bits=session_bits)
                     ),
-                    warm_cached,
                 ),
             ]
             if args.workers > 0:
@@ -1147,7 +1139,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                             artifact,
                             dc_replace(base, bits=session_bits, workers=args.workers),
                         ),
-                        warm_uncached,
                     )
                 )
         except ArtifactError as exc:
@@ -1164,28 +1155,21 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             return _build_export_model(args)
 
         vocab, input_length = args.vocab, args.input_length
-        shardable = args.technique in ("memcom", "full")
         configs = [
-            ("monolithic", ServeSession.from_model(build(), base), warm_uncached),
-            (
-                "monolithic+cache",
-                ServeSession.from_model(build(), cached_cfg),
-                warm_cached,
-            ),
+            ("monolithic", ServeSession.from_model(build(), base)),
+            ("monolithic+cache", ServeSession.from_model(build(), cached_cfg)),
         ]
-        if shardable:
+        if args.technique in ("memcom", "full"):
             configs += [
                 (
                     f"sharded x{args.shards}",
                     ServeSession.from_model(shard_model(build(), args.shards), base),
-                    warm_uncached,
                 ),
                 (
                     f"sharded x{args.shards}+cache",
                     ServeSession.from_model(
                         shard_model(build(), args.shards), cached_cfg
                     ),
-                    warm_cached,
                 ),
             ]
         if args.bits != 32:
@@ -1195,14 +1179,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 (
                     f"int{args.bits}",
                     ServeSession.from_model(build(), dc_replace(base, bits=args.bits)),
-                    warm_uncached,
                 ),
                 (
                     f"int{args.bits}+cache",
                     ServeSession.from_model(
                         build(), dc_replace(cached_cfg, bits=args.bits)
                     ),
-                    warm_cached,
                 ),
             ]
         title = (
@@ -1210,29 +1192,30 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             f"v={vocab}, e={args.embedding_dim}, L={input_length}, Zipf({args.alpha})"
         )
 
-    requests = zipf_requests(
-        vocab, input_length, args.requests, alpha=args.alpha, rng=args.seed
+    traffic = TrafficModel(
+        TrafficSpec.stationary(
+            vocab, input_length, args.requests, args.batch_size,
+            alpha=args.alpha, seed=args.seed,
+        )
     )
-    sessions = {label: session for label, session, _ in configs}
+    sessions = dict(configs)
     try:
-        reports = [
-            measure_throughput(
-                # The runtime (if any) duck-types the engine's serving surface.
-                session.runtime if session.runtime is not None else session.engine,
-                requests, batch_size=args.batch_size, label=label,
-                warmup_batches=warm,
-            )
-            for label, session, warm in configs
-        ]
+        # Phase 0 warms every session (cache fill, allocator pools); phase 1
+        # is the steady state reported (DESIGN.md §6 protocol).
+        reports = {
+            label: replay(session, traffic).phases[1]
+            for label, session in sessions.items()
+        }
         print(format_table(
-            ["engine", "requests", "batch", "req/s", "ms/batch", "cache hit"],
-            [r.row() for r in reports],
+            ["engine", "requests", "p50 ms", "p95 ms", "p99 ms", "req/s", "cache hit"],
+            # row() is (phase, requests, users, p50, p95, p99, req/s, hit)
+            [(label, r.requests, *r.row()[3:]) for label, r in reports.items()],
             title=title,
         ))
-        first, cached = reports[0], reports[1]
+        first, cached = list(reports.values())[:2]
         print(
-            f"\ncached vs uncached: {cached.requests_per_sec / first.requests_per_sec:.2f}× "
-            f"requests/sec at {100.0 * (cached.cache_hit_rate or 0.0):.1f}% hit rate"
+            f"\ncached vs uncached: {cached.rps / first.rps:.2f}× "
+            f"requests/sec at {100.0 * (cached.hit_rate or 0.0):.1f}% hit rate"
         )
         if args.artifact is None and args.bits != 32:
             fp32_bytes = sessions["monolithic"].engine.table_resident_bytes()
@@ -1244,11 +1227,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         for label, session in sessions.items():
             if session.runtime is not None:
                 qos = session.runtime.qos.snapshot()
-                print(
-                    f"{label}: p50/p95/p99 = {qos['latency_ms_p50']:.2f}/"
-                    f"{qos['latency_ms_p95']:.2f}/{qos['latency_ms_p99']:.2f} ms, "
-                    f"respawns={qos['respawns']}, retries={qos['retries']}"
-                )
+                print(f"{label}: respawns={qos['respawns']}, retries={qos['retries']}")
     finally:
         for session in sessions.values():
             session.close()

@@ -20,7 +20,6 @@ percentiles — bit-identical predictions under induced faults
 """
 
 from repro.serve.batcher import Batcher, PendingRequest
-from repro.serve.bench import ServeReport, measure_throughput, zipf_requests
 from repro.serve.cache import LRUCache, QuantizedRowCache, rows_for_budget
 from repro.serve.engine import InferenceEngine
 from repro.serve.runtime import (
@@ -46,11 +45,8 @@ __all__ = [
     "QuantizedRowCache",
     "RetryPolicy",
     "ServeConfig",
-    "ServeReport",
     "ServeSession",
     "ServingRuntime",
-    "measure_throughput",
     "rows_for_budget",
     "run_chaos",
-    "zipf_requests",
 ]

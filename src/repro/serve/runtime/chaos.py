@@ -1,9 +1,12 @@
 """Chaos harness: prove recovery, don't just claim it.
 
 :func:`run_chaos` runs one fault scenario end-to-end and returns evidence:
-serve a fixed Zipf workload through a fault-free single-process session,
-serve the *same* workload through a :class:`ServingRuntime` with a fault
-armed, and assert two things at once —
+serve a fixed workload — the steps of a stationary Zipf
+:class:`~repro.traffic.model.TrafficModel` stream
+(:meth:`~repro.traffic.model.TrafficSpec.stationary`), one batch per step —
+through a fault-free single-process session, serve the *same* batches
+through a :class:`ServingRuntime` with a fault armed, and assert two things
+at once —
 
 1. **bit-identical predictions**: ``np.array_equal`` over every score the
    two paths produced (the runtime's core contract: faults cost latency,
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.serve.bench import zipf_requests
 from repro.serve.runtime.faults import FaultSpec, corrupt_artifact_payload
 from repro.serve.runtime.retry import RetryPolicy
 from repro.serve.runtime.supervisor import ServingRuntime
@@ -164,6 +166,7 @@ def run_chaos(
     # Lazy: the session façade itself wires runtimes, so importing it at
     # module scope would close an import cycle (session -> runtime -> chaos).
     from repro.serve.session import ServeSession
+    from repro.traffic.model import TrafficModel, TrafficSpec
 
     if scenario not in CHAOS_SCENARIOS:
         raise ValueError(
@@ -176,16 +179,17 @@ def run_chaos(
     baseline = ServeSession.load(
         artifact_path, bits=bits, calibration_percentile=calibration_percentile
     )
-    traffic = zipf_requests(
-        baseline.engine.vocab_size,
-        baseline.engine.input_length,
-        num_requests,
-        alpha=alpha,
-        rng=seed,
+    traffic = TrafficModel(
+        TrafficSpec.stationary(
+            baseline.engine.vocab_size,
+            baseline.engine.input_length,
+            num_requests,
+            batch_size,
+            alpha=alpha,
+            seed=seed,
+        )
     )
-    batches = [
-        traffic[i : i + batch_size] for i in range(0, traffic.shape[0], batch_size)
-    ]
+    batches = [step.requests for step in traffic.stream() if len(step.requests)]
     expected = [baseline.predict(b) for b in batches]
 
     tmp_dir = None

@@ -12,9 +12,8 @@ single declarative :class:`ServeConfig` and two constructors:
 Both yield the same object: an :class:`~repro.serve.engine.InferenceEngine`
 plus a :class:`~repro.serve.batcher.Batcher` wired from the config, with
 ``predict`` / ``submit`` / ``flush`` passthroughs and a ``stats()`` view of
-the counters every prior entry point reported separately.  The old entry
-points — engine/batcher constructors, ``repro serve-bench`` kwargs,
-``DeviceRuntime.benchmark_serving`` — remain as thin shims over this path.
+the counters every prior entry point reported separately.  The engine and
+batcher constructors remain public; ``repro serve-bench`` builds sessions.
 
 The session also owns the persistence contract: ``from_model`` sessions
 can :meth:`save` themselves as artifacts, and for every technique and

@@ -5,7 +5,9 @@ into a service-level question under realistic load:
 
 * :mod:`~repro.traffic.model` — :class:`TrafficModel`: deterministic,
   seedable traffic with millions of distinct users, session locality,
-  arrival bursts, and a Zipf head that drifts across phases;
+  arrival bursts, and a Zipf head that drifts across phases
+  (:meth:`TrafficSpec.stationary` is the i.i.d. Zipf throughput preset
+  behind ``repro serve-bench``);
 * :mod:`~repro.traffic.replay` — stream that traffic through a
   :class:`~repro.serve.ServeSession` and report p50/p95/p99 latency,
   requests/sec, and cache hit rate *per drift phase*;

@@ -1,8 +1,9 @@
 """Deterministic million-user traffic simulation with Zipf-head drift.
 
-Every serving bench so far measured throughput on *static* Zipf draws: one
-``ZipfSampler``, one popularity ordering, i.i.d. requests.  Real on-device
-traffic — the regime the paper optimizes for — looks nothing like that:
+Static Zipf draws — one ``ZipfSampler``, one popularity ordering, i.i.d.
+requests — are one preset here (:meth:`TrafficSpec.stationary`, the
+throughput workload).  Real on-device traffic — the regime the paper
+optimizes for — looks nothing like that:
 
 * **Millions of distinct users** arrive in *sessions*, not as one stream;
 * each session shows strong **item locality** (a user re-touches a small
@@ -93,7 +94,7 @@ class TrafficSpec:
             raise ValueError(
                 f"drift_fraction must be in [0, 1], got {self.drift_fraction}"
             )
-        if self.head_size >= self.vocab:
+        if self.drift_fraction > 0 and self.head_size >= self.vocab:
             raise ValueError(
                 f"head_size must be < vocab ({self.vocab}) so drift can draw "
                 f"replacement ids from the tail, got {self.head_size}"
@@ -109,6 +110,39 @@ class TrafficSpec:
         if not 0.0 <= self.locality <= 1.0:
             raise ValueError(f"locality must be in [0, 1], got {self.locality}")
         return self
+
+    @classmethod
+    def stationary(
+        cls,
+        vocab: int,
+        input_length: int,
+        requests: int,
+        batch: int,
+        alpha: float = 1.1,
+        seed: int = 0,
+    ) -> "TrafficSpec":
+        """i.i.d. bounded-Zipf(``alpha``) requests, ``batch`` per step on average.
+
+        No drift, no locality, no bursts, one request per session: every id
+        is an independent draw from one fixed Zipf law.  The ``requests``
+        are split over two phases of equal length, at least one step each.
+        Phase 0 is the warm-up (it fills the cache and the allocator pools);
+        phase 1 is the steady state a throughput number should report —
+        the paper's "initialization excluded" convention (§5.3).
+        """
+        return cls(
+            vocab=vocab,
+            input_length=input_length,
+            alpha=alpha,
+            num_phases=2,
+            steps_per_phase=max(1, -(-requests // (2 * batch))),
+            drift_fraction=0.0,
+            sessions_per_step=float(batch),
+            burst_factor=1.0,
+            session_length=1,
+            locality=0.0,
+            seed=seed,
+        )
 
     def with_seed(self, seed: int) -> "TrafficSpec":
         return replace(self, seed=seed)

@@ -263,23 +263,6 @@ class Trainer:
             state=state, epoch_hook=epoch_hook, max_epochs=max_epochs,
         )
 
-    def fit_pairwise(
-        self,
-        model: "Module",
-        x: np.ndarray,
-        pos: np.ndarray,
-        neg: np.ndarray,
-        x_val: np.ndarray | None = None,
-        y_val: np.ndarray | None = None,
-        **kwargs,
-    ) -> History:
-        """Train a RankNet with the pairwise logistic loss (Figure 3).
-
-        Thin shim over ``fit(task="pairwise")`` — kept as the historical
-        entry point for the Figure 3 harnesses.
-        """
-        return self.fit(model, x, pos, x_val, y_val, task="pairwise", neg=neg, **kwargs)
-
     def init_state(self, model: Module) -> TrainState:
         """A fresh :class:`TrainState` for ``model`` under this config."""
         cfg = self.config

@@ -201,12 +201,12 @@ class TestCacheHitPathBitIdentical:
             np.testing.assert_array_equal(engine.predict(x), want)
 
     def test_hit_rate_rises_on_zipf_traffic(self):
-        from repro.serve.bench import zipf_requests
+        from repro.traffic import TrafficModel, TrafficSpec
 
         engine, _ = _engine(cache_rows=128)
-        requests = zipf_requests(V, L, 512, alpha=1.1, rng=0)
-        for start in range(0, 512, 32):
-            engine.predict(requests[start : start + 32])
+        traffic = TrafficModel(TrafficSpec.stationary(V, L, 512, 32, alpha=1.1))
+        for step in traffic.stream():
+            engine.predict(step.requests)
         assert engine.cache.hit_rate > 0.5
 
 

@@ -219,6 +219,18 @@ class TestServeBenchValidation:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-bench", "--bits", "16"])
 
+    def test_requests_below_two_batches_still_served(self, capsys):
+        """Each phase of the stationary stream gets at least one step, so a
+        tiny --requests is served rather than left with no timed window."""
+        code = main(
+            ["serve-bench", "--vocab", "400", "--embedding-dim", "8",
+             "--input-length", "4", "--requests", "8", "--batch-size", "64"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        assert "monolithic+cache" in captured.out
+
     def test_missing_artifact_is_a_clean_error(self, capsys):
         code, err = self._run(capsys, "--artifact", "/nonexistent/artifact")
         assert code == 2
@@ -245,6 +257,20 @@ class TestArtifactCommands:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "artifact" in stdout and "artifact+cache" in stdout
+
+    def test_serve_bench_artifact_with_workers_runs_the_runtime_row(
+        self, tmp_path, capsys
+    ):
+        out = str(tmp_path / "artifact")
+        assert self._export(out) == 0
+        capsys.readouterr()
+        code = main(
+            ["serve-bench", "--artifact", out, "--workers", "2",
+             "--requests", "128", "--batch-size", "16"]
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "runtime x2w" in stdout
 
     def test_export_zip(self, tmp_path, capsys):
         out = str(tmp_path / "artifact.zip")

@@ -181,5 +181,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             replace(SPEC, **kwargs).validate()
 
+    def test_head_size_bound_applies_only_with_drift(self):
+        """Without drift no replacement ids are drawn from the tail, so a
+        head as large as the vocabulary is legal; with drift it is not."""
+        TrafficSpec(vocab=200, input_length=4, drift_fraction=0.0).validate()
+        with pytest.raises(ValueError, match="head_size"):
+            TrafficSpec(vocab=200, input_length=4, drift_fraction=0.1).validate()
+
     def test_to_dict_round_trips(self):
         assert TrafficSpec(**SPEC.to_dict()) == SPEC
+
+
+class TestStationaryPreset:
+    def test_two_equal_phases_same_head_and_requests_near_target(self):
+        spec = TrafficSpec.stationary(5_000, 8, requests=4096, batch=64, seed=3)
+        model = TrafficModel(spec)
+        assert (spec.num_phases, spec.steps_per_phase) == (2, 32)
+        np.testing.assert_array_equal(model.head_ids(0), model.head_ids(1))
+        total = sum(step.requests.shape[0] for step in model.stream())
+        # Poisson(4096) total: five standard deviations is 320 requests.
+        assert abs(total - 4096) <= 5 * 64

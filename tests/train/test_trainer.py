@@ -115,8 +115,9 @@ class TestPairwise:
             num_hash_embeddings=tiny_spec.input_vocab // 8,
         )
         cfg = TrainConfig(epochs=3, batch_size=64, lr=3e-3, seed=0)
-        hist = Trainer(cfg).fit_pairwise(
-            model, pw.x_train, pw.pos_train, pw.neg_train, pw.x_eval, pw.pos_eval
+        hist = Trainer(cfg).fit(
+            model, pw.x_train, pw.pos_train, pw.x_eval, pw.pos_eval,
+            task="pairwise", neg=pw.neg_train,
         )
         assert hist.train_loss[-1] < hist.train_loss[0]
         assert hist.metric_name == "ndcg"
@@ -133,7 +134,9 @@ class TestPairwise:
             input_length=tiny_spec.input_length, embedding_dim=16, rng=0,
         )
         cfg = TrainConfig(epochs=12, batch_size=64, lr=5e-3, seed=0)
-        Trainer(cfg).fit_pairwise(model, pw.x_train, pw.pos_train, pw.neg_train)
+        Trainer(cfg).fit(
+            model, pw.x_train, pw.pos_train, task="pairwise", neg=pw.neg_train
+        )
         model.eval()
         with no_grad():
             s_pos, s_neg = model.score_pair(pw.x_eval, pw.pos_eval, pw.neg_eval)
@@ -142,29 +145,6 @@ class TestPairwise:
 
 
 class TestUnifiedFit:
-    def test_pairwise_via_fit_matches_fit_pairwise(self, tiny_spec):
-        """fit(task='pairwise') and the fit_pairwise shim are one loop."""
-        from repro.data.synthetic import generate_pairwise
-
-        pw = generate_pairwise(tiny_spec, np.random.default_rng(2))
-
-        def build():
-            return build_ranknet(
-                "memcom", tiny_spec.input_vocab, tiny_spec.output_vocab,
-                input_length=tiny_spec.input_length, embedding_dim=8, rng=0,
-                num_hash_embeddings=tiny_spec.input_vocab // 8,
-            )
-
-        cfg = TrainConfig(epochs=2, batch_size=64, lr=3e-3, seed=0)
-        m1, m2 = build(), build()
-        h1 = Trainer(cfg).fit(
-            m1, pw.x_train, pw.pos_train, task="pairwise", neg=pw.neg_train
-        )
-        h2 = Trainer(cfg).fit_pairwise(m2, pw.x_train, pw.pos_train, pw.neg_train)
-        assert h1.train_loss == h2.train_loss
-        for k, v in m1.state_dict().items():
-            assert np.array_equal(v, m2.state_dict()[k]), k
-
     def test_pairwise_requires_neg(self, tiny_classification_dataset):
         ds = tiny_classification_dataset
         model = build_classifier(
